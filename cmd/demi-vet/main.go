@@ -1,9 +1,9 @@
 // Command demi-vet runs the repository's static analyzers over the module:
 // qtoken discipline, buffer ownership, sim-world determinism,
 // //demi:nonalloc hot-path allocation checks, //demi:stateguard
-// complete-or-error mutation, poll-path blocking discipline, capability
-// escape confinement, and //demi:budget static cost gates. It is built
-// exclusively on the standard library's go/parser, go/ast and go/types.
+// complete-or-error mutation, poll-path blocking discipline, and
+// capability escape confinement. It is built exclusively on the standard
+// library's go/parser, go/ast and go/types.
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 //	go run ./cmd/demi-vet -json ./...           # machine-readable findings
 //	go run ./cmd/demi-vet -github ./...         # GitHub workflow annotations
 //	go run ./cmd/demi-vet -budget 25s ./...     # fail if the run exceeds 25s
-//	go run ./cmd/demi-vet -costs ./...          # cost estimates, for budgets
 //
 // Exit status: 0 no findings, 1 findings (or stale allowlist entries, or
 // -budget exceeded), 2 usage or load errors. Audited exceptions live in
@@ -44,7 +43,6 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := fs.Bool("github", false, "emit findings as GitHub workflow ::error annotations")
 	budget := fs.Duration("budget", 0, "fail (exit 1) if the whole run exceeds this wall time")
-	costs := fs.Bool("costs", false, "print per-function static cost estimates and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,11 +79,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "demi-vet:", err)
 		return 2
-	}
-
-	if *costs {
-		printCosts(mod, pkgs)
-		return 0
 	}
 
 	findings, elapsed := analysis.RunTimed(mod, pkgs, analysis.DefaultAnalyzers())
@@ -181,30 +174,6 @@ func printGitHub(f analysis.Finding) {
 	esc := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A").Replace(msg)
 	fmt.Printf("::error file=%s,line=%d,col=%d,title=demi-vet %s::%s\n",
 		f.File, f.Pos.Line, f.Pos.Column, f.Analyzer, esc)
-}
-
-// printCosts lists the static worst-case estimate of every function in the
-// selected packages, most expensive first — the input for choosing
-// //demi:budget values with real headroom.
-func printCosts(mod *analysis.Module, pkgs []*analysis.Package) {
-	selected := make(map[string]bool, len(pkgs))
-	for _, p := range pkgs {
-		selected[p.Path] = true
-	}
-	for _, e := range mod.CostReport() {
-		if !selected[e.Pkg] {
-			continue
-		}
-		cost := "unbounded"
-		if e.Cost != analysis.CostUnbounded {
-			cost = e.Cost.Duration().String()
-		}
-		line := fmt.Sprintf("%-12s %s.%s", cost, strings.TrimPrefix(e.Pkg, mod.Path+"/"), e.Func)
-		if e.Budget > 0 {
-			line += fmt.Sprintf("  (budget %s)", e.Budget.Duration())
-		}
-		fmt.Println(line)
-	}
 }
 
 // selectPackages resolves the command-line patterns against the loaded

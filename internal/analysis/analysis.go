@@ -24,14 +24,11 @@
 //     *tenant.View) may not escape to package variables, exported
 //     non-//demi:carrier struct fields, or closures that outlive the call
 //     (capescape.go).
-//   - cyclebudget: //demi:budget=<duration> functions must fit the static
-//     worst-case cost estimate (cyclebudget.go).
 //
-// The qtoken, ownership, stateguard and capescape rules sit on a shared
-// dataflow core: a per-function control-flow graph (cfg.go) and an
-// interprocedural summary engine (summary.go) that fixpoints parameter
-// ownership modes, owned results, poll facts and cost estimates over the
-// module call graph.
+// Every rule but determinism reads one shared dataflow core: a
+// per-function control-flow graph (cfg.go) and an interprocedural summary
+// engine (summary.go) that fixpoints parameter ownership modes, owned
+// results, poll facts and allocation facts over the module call graph.
 //
 // The analyzer is built exclusively on the standard library's go/parser,
 // go/ast and go/types (with the source importer for the standard library),
@@ -99,7 +96,7 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 	})
 }
 
-// DefaultAnalyzers returns the eight demi-vet analyzers with their default
+// DefaultAnalyzers returns the seven demi-vet analyzers with their default
 // configuration.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
@@ -110,7 +107,6 @@ func DefaultAnalyzers() []*Analyzer {
 		StateguardAnalyzer(),
 		PolldisciplineAnalyzer(),
 		CapescapeAnalyzer(),
-		CyclebudgetAnalyzer(),
 	}
 }
 

@@ -168,48 +168,12 @@ func TestCapescapeFixture(t *testing.T) {
 	runFixture(t, "capescapefix", CapescapeAnalyzer())
 }
 
-// TestCyclebudgetFixture pins the //demi:budget gate against the static
-// cost model, including the unbounded-recursion case.
-func TestCyclebudgetFixture(t *testing.T) {
-	runFixture(t, "budgetfix", CyclebudgetAnalyzer())
-}
-
 // TestInterprocFixture pins the interprocedural engine's headline wins:
 // leaks through borrowing helpers, owned results of wrapper allocators,
 // path-sensitive leaks of helper-produced buffers, and tokens stranded
 // through inspection helpers.
 func TestInterprocFixture(t *testing.T) {
 	runFixture(t, "interprocfix", OwnershipAnalyzer(), QTokenAnalyzer())
-}
-
-// TestInterprocRegression is the tentpole's acceptance proof: every leak
-// in interprocfix crosses a function boundary, so the pre-engine
-// intra-function ownership checker reports nothing there while the
-// summary-driven analyzer reports them all.
-func TestInterprocRegression(t *testing.T) {
-	m, _ := loadSharedModule(t)
-	pkg, err := m.LoadDir(filepath.Join("testdata", "src", "interprocfix"))
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	intra := Run(m, []*Package{pkg}, []*Analyzer{ownershipAnalyzerIntra()})
-	for _, f := range intra {
-		t.Errorf("intra-function checker unexpectedly found: %s", f)
-	}
-	inter := Run(m, []*Package{pkg}, []*Analyzer{OwnershipAnalyzer()})
-	if len(inter) < 3 {
-		t.Fatalf("interprocedural checker found %d leak(s), want at least 3: %v", len(inter), inter)
-	}
-	wantSub := "is never freed, pushed, returned, or stored"
-	found := false
-	for _, f := range inter {
-		if strings.Contains(f.Message, wantSub) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no interprocedural finding matches %q in %v", wantSub, inter)
-	}
 }
 
 // TestModuleClean is the acceptance gate: demi-vet with the checked-in

@@ -4,29 +4,27 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-	"time"
 )
 
-// annot.go indexes the demi-vet source annotations beyond //demi:nonalloc:
+// annot.go indexes the demi-vet source annotations:
 //
+//	//demi:nonalloc [rationale]       on a function: it must not allocate,
+//	                                  directly or transitively (indexed
+//	                                  with the declarations, load.go).
 //	//demi:stateguard [rationale]     on a struct field: the field may not
 //	                                  be written on any path that returns a
 //	                                  non-nil error (complete-or-error).
-//	//demi:budget=<duration> [why]    on a function: its static worst-case
-//	                                  cost estimate must stay within the
-//	                                  budget (e.g. //demi:budget=900ns).
 //	//demi:carrier [rationale]        on a struct type: its exported fields
 //	                                  are sanctioned transfer records for
 //	                                  tracked values (SGArray, QEvent), not
 //	                                  capability escapes.
 //
-// Grammar, as for //demi:nonalloc: the marker must start the comment line;
-// anything after it on the same line is free-form rationale. For budget,
-// the value is attached with '=' and parsed by time.ParseDuration.
+// Grammar: the marker must start the comment line; anything after it on
+// the same line is free-form rationale.
 
 // demiMarker scans a comment group for a //demi:<name> line, returning the
-// text after the marker ("" when the marker stands alone) and whether it
-// was found. For value-carrying markers pass name with the '=' ("budget=").
+// rationale after the marker ("" when the marker stands alone) and whether
+// it was found.
 func demiMarker(doc *ast.CommentGroup, name string) (string, bool) {
 	if doc == nil {
 		return "", false
@@ -37,13 +35,6 @@ func demiMarker(doc *ast.CommentGroup, name string) (string, bool) {
 			continue
 		}
 		rest := text[len("demi:"+name):]
-		if strings.HasSuffix(name, "=") {
-			// Value marker: everything up to the first space is the value.
-			if v, _, _ := strings.Cut(rest, " "); v != "" {
-				return v, true
-			}
-			continue
-		}
 		if rest == "" || strings.HasPrefix(rest, " ") {
 			return strings.TrimSpace(rest), true
 		}
@@ -60,16 +51,7 @@ func (m *Module) annotIndex() {
 		p := m.Pkgs[s.annotIndexed]
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if v, ok := demiMarker(d.Doc, "budget="); ok {
-						if dur, err := time.ParseDuration(v); err == nil {
-							if fn, ok := p.Info.Defs[d.Name].(*types.Func); ok {
-								s.budgets[fn] = Cost(dur.Nanoseconds())
-							}
-						}
-					}
-				case *ast.GenDecl:
+				if d, ok := decl.(*ast.GenDecl); ok {
 					m.indexTypeAnnotations(s, p, d)
 				}
 			}
@@ -123,16 +105,6 @@ func (m *Module) IsGuardedField(v *types.Var) bool {
 // (lets the stateguard analyzer skip modules without annotations).
 func (m *Module) HasGuardedFields() bool {
 	return m.sums != nil && len(m.sums.guarded) > 0
-}
-
-// BudgetOf returns fn's //demi:budget annotation. Only valid after
-// Precompute.
-func (m *Module) BudgetOf(fn *types.Func) (Cost, bool) {
-	if m.sums == nil {
-		return 0, false
-	}
-	c, ok := m.sums.budgets[fn]
-	return c, ok
 }
 
 // IsCarrier reports whether the named type is annotated //demi:carrier.

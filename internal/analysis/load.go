@@ -22,10 +22,10 @@ type Package struct {
 }
 
 // A Module holds every loaded package of one Go module plus the
-// cross-package indexes the analyzers share (function declarations,
-// //demi:nonalloc annotations, allocation summaries). Loading uses only
-// the standard library: go/parser for syntax, go/types for semantics,
-// and the stdlib source importer for standard-library dependencies.
+// cross-package indexes the analyzers share (function declarations and
+// //demi:nonalloc annotations). Loading uses only the standard library:
+// go/parser for syntax, go/types for semantics, and the stdlib source
+// importer for standard-library dependencies.
 type Module struct {
 	Fset *token.FileSet
 	Root string // directory containing go.mod
@@ -40,8 +40,6 @@ type Module struct {
 	declPkg  map[*types.Func]*Package
 	nonalloc map[*types.Func]bool
 	indexed  int // number of packages already indexed
-
-	allocMemo map[*types.Func]int8 // allocation summary memo (see nonalloc.go)
 
 	sums *summaries // interprocedural summary engine state (see summary.go)
 }
@@ -82,12 +80,11 @@ func LoadModule(dir string) (*Module, error) {
 	}
 	fset := token.NewFileSet()
 	m := &Module{
-		Fset:      fset,
-		Root:      root,
-		Path:      modPath,
-		byPath:    make(map[string]*Package),
-		std:       importer.ForCompiler(fset, "source", nil),
-		allocMemo: make(map[*types.Func]int8),
+		Fset:   fset,
+		Root:   root,
+		Path:   modPath,
+		byPath: make(map[string]*Package),
+		std:    importer.ForCompiler(fset, "source", nil),
 	}
 	var dirs []string
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -138,9 +135,6 @@ func (m *Module) LoadDir(dir string) (*Package, error) {
 	}
 	return m.load(path)
 }
-
-// PackageByPath returns the loaded package with the given import path.
-func (m *Module) PackageByPath(path string) *Package { return m.byPath[path] }
 
 // load parses and type-checks the package with the given module-internal
 // import path, memoized.
@@ -260,35 +254,12 @@ func (m *Module) index() {
 				}
 				m.decls[fn] = fd
 				m.declPkg[fn] = p
-				if hasNonAllocAnnotation(fd) {
+				if _, ok := demiMarker(fd.Doc, "nonalloc"); ok {
 					m.nonalloc[fn] = true
 				}
 			}
 		}
 	}
-}
-
-// hasNonAllocAnnotation reports whether the function's doc comment carries
-// a //demi:nonalloc line. Grammar: the marker must start the comment line;
-// anything after it on the same line is free-form rationale.
-func hasNonAllocAnnotation(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		text = strings.TrimSpace(text)
-		if text == "demi:nonalloc" || strings.HasPrefix(text, "demi:nonalloc ") {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncDecl returns the syntax of fn if it was declared in the module.
-func (m *Module) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	m.index()
-	return m.decls[fn]
 }
 
 // IsNonAlloc reports whether fn carries the //demi:nonalloc annotation.

@@ -41,7 +41,10 @@ func runNonAlloc(p *Pass) {
 	for _, file := range p.Pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasNonAllocAnnotation(fd) {
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if _, ok := demiMarker(fd.Doc, "nonalloc"); !ok {
 				continue
 			}
 			c := &nonallocChecker{m: p.Mod, pkg: p.Pkg, report: p.Reportf}
@@ -50,62 +53,46 @@ func runNonAlloc(p *Pass) {
 	}
 }
 
-// Allocation-summary memo states (Module.allocMemo).
-const (
-	allocInProgress int8 = 1 // on the current summary stack: cycle, assume clean
-	allocClean      int8 = 2
-	allocAllocates  int8 = 3
-)
-
-// allocates computes (memoized) whether fn may allocate, for call sites
-// inside annotated functions. Annotated functions are trusted by contract:
+// allocates reports whether fn may allocate, for call sites inside
+// annotated functions. It is the engine's allocation fact (summary.go),
+// memoized like PollFacts. Annotated functions are trusted by contract:
 // their own bodies are checked where they are declared.
 func (m *Module) allocates(fn *types.Func) bool {
 	m.index()
 	if m.nonalloc[fn] {
 		return false
 	}
-	if v := m.allocMemo[fn]; v != 0 {
-		return v == allocAllocates
+	s := m.summaryState()
+	if a, ok := s.allocs[fn]; ok {
+		return a
 	}
-	// After Precompute freezes the summaries, cache misses (only external
-	// functions — every module function was warmed) are answered without
-	// writing the memo, keeping the parallel analysis phase read-only.
-	memoize := m.sums == nil || !m.sums.frozen
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return true
+	if s.inAlloc[fn] {
+		return false // recursion: assume clean
 	}
-	if pkg.Path() != m.Path && !strings.HasPrefix(pkg.Path(), m.Path+"/") {
-		clean := stdlibClean(fn)
-		if memoize {
-			if clean {
-				m.allocMemo[fn] = allocClean
-			} else {
-				m.allocMemo[fn] = allocAllocates
-			}
-		}
-		return !clean
-	}
+	var a bool
 	fd := m.decls[fn]
-	if fd == nil || fd.Body == nil {
-		if memoize {
-			m.allocMemo[fn] = allocAllocates // no source: assume the worst
-		}
+	switch pkg := fn.Pkg(); {
+	case pkg == nil:
+		a = true
+	case pkg.Path() != m.Path && !strings.HasPrefix(pkg.Path(), m.Path+"/"):
+		a = !stdlibClean(fn)
+	case fd == nil || fd.Body == nil:
+		a = true // no source: assume the worst
+	case s.frozen:
+		// Precompute warmed every module function; a miss after freeze
+		// must not write, so assume the worst instead of walking.
 		return true
+	default:
+		s.inAlloc[fn] = true
+		c := &nonallocChecker{m: m, pkg: m.declPkg[fn]}
+		c.checkDecl(fd)
+		delete(s.inAlloc, fn)
+		a = c.found
 	}
-	if !memoize {
-		return true // unwarmed module function post-freeze: assume the worst
+	if !s.frozen {
+		s.allocs[fn] = a
 	}
-	m.allocMemo[fn] = allocInProgress
-	c := &nonallocChecker{m: m, pkg: m.declPkg[fn]}
-	c.checkDecl(fd)
-	if c.found {
-		m.allocMemo[fn] = allocAllocates
-	} else {
-		m.allocMemo[fn] = allocClean
-	}
-	return c.found
+	return a
 }
 
 // stdlibClean is the audited set of standard-library calls known not to

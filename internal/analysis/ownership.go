@@ -13,9 +13,9 @@ import (
 //  1. Every buffer obtained from the DMA heap (Heap.Alloc, Heap.TryAlloc,
 //     memory.CopyFrom, memory.TryCopyFrom) must be freed, pushed, returned,
 //     or stored — a buffer that reaches no consuming use leaks its slot.
-//  2. A return statement between the allocation and the buffer's first
-//     consuming use leaks it on that path (the compile-time twin of the
-//     chaos soak's "no leaked buffers" invariant).
+//  2. A return reachable from the allocation along a path with no
+//     consuming use leaks the buffer on that path (the compile-time twin
+//     of the chaos soak's "no leaked buffers" invariant).
 //  3. A failed Push/PushTo does NOT transfer ownership: the error branch
 //     of a push must free the buffer (or consume it some other way) before
 //     bailing out.
@@ -27,8 +27,8 @@ import (
 // The memory package itself is exempt — it is the allocator and
 // manipulates slot ownership by design.
 //
-// Since the interprocedural engine (cfg.go, summary.go) the analyzer is
-// path- and call-graph-aware:
+// The analyzer reads the interprocedural engine (cfg.go, summary.go), so
+// it is path- and call-graph-aware:
 //
 //   - producers include module helpers whose results carry a freshly-owned
 //     buffer (OwnedResults), so `b, err := c.copyIn(p)` is tracked like a
@@ -38,9 +38,8 @@ import (
 //   - a helper summarized ParamConsumesOnSuccess (a push-like transfer) is
 //     held to the push contract at its call sites: the error branch must
 //     free the buffer;
-//   - leak detection walks the control-flow graph instead of comparing
-//     source positions, so a consume on one branch no longer excuses a
-//     leak on the other;
+//   - leak detection walks the control-flow graph, so a consume on one
+//     branch does not excuse a leak on the other;
 //   - helpers that consume a buffer parameter on some same-class exit
 //     paths but not others (ParamMixed) are reported where they are
 //     declared.
@@ -49,20 +48,7 @@ func OwnershipAnalyzer() *Analyzer {
 		Name: "ownership",
 		Doc:  "DMA buffers must be freed/pushed/returned/stored on all paths; pushed buffers are immutable",
 	}
-	a.Run = func(p *Pass) { runOwnership(p, false) }
-	return a
-}
-
-// ownershipAnalyzerIntra is the pre-engine, single-function variant: no
-// helper summaries, position-based early-return detection. It exists so
-// the regression tests can demonstrate cross-function leaks the old
-// checker misses.
-func ownershipAnalyzerIntra() *Analyzer {
-	a := &Analyzer{
-		Name: "ownership",
-		Doc:  "intra-function ownership checks (regression baseline)",
-	}
-	a.Run = func(p *Pass) { runOwnership(p, true) }
+	a.Run = runOwnership
 	return a
 }
 
@@ -76,35 +62,17 @@ var bufAllocators = map[string]bool{
 // obligation.
 func bufConsumingMethod(name string) bool { return name == "Free" }
 
-func runOwnership(p *Pass, intra bool) {
+func runOwnership(p *Pass) {
 	if strings.HasSuffix(p.Pkg.Path, "internal/memory") {
 		return // the allocator owns its own slots
 	}
-	buf := p.Mod.LookupNamed("internal/memory", "Buf")
-	if buf == nil {
+	s := p.Mod.summaryState()
+	if s.trackedNamed[trackBuf] == nil {
 		return
 	}
-	isBuf := func(t types.Type) bool {
-		ptr, ok := t.(*types.Pointer)
-		if !ok {
-			return false
-		}
-		n, ok := ptr.Elem().(*types.Named)
-		return ok && n.Obj() == buf.Obj()
-	}
+	isBuf := s.matcher(trackBuf)
 	info := p.Pkg.Info
-	okCall := func(call *ast.CallExpr) bool {
-		fn := staticCallee(info, call)
-		if fn == nil {
-			return false
-		}
-		if fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/memory") && bufAllocators[fn.Name()] {
-			return true
-		}
-		// Interprocedural: module helpers whose result carries a
-		// freshly-owned buffer are producers too.
-		return !intra && p.Mod.OwnedResults(fn)[trackBuf]
-	}
+	okCall := func(call *ast.CallExpr) bool { return p.Mod.ownedBufCall(info, call) }
 	for _, file := range p.Pkg.Files {
 		for _, prod := range findProducers(info, file, isBuf, okCall) {
 			callee := exprString(prod.call.Fun)
@@ -113,28 +81,19 @@ func runOwnership(p *Pass, intra bool) {
 				p.Reportf(prod.call.Pos(), "keep the buffer and Free it when done",
 					"buffer allocated by %s is discarded without Free", callee)
 			case prod.obj != nil:
-				checkBufferLifecycle(p, prod, callee, intra)
+				checkBufferLifecycle(p, prod, callee)
 			}
 		}
-		if !intra {
-			checkBufParamModes(p, file, isBuf)
-		}
+		checkBufParamModes(p, file, isBuf)
 	}
 }
 
-func checkBufferLifecycle(p *Pass, prod producer, callee string, intra bool) {
+func checkBufferLifecycle(p *Pass, prod producer, callee string) {
 	if prod.fn == nil {
 		return // package-scope initializer: stored by construction
 	}
-	info := p.Pkg.Info
-	var uses []objUse
-	if intra {
-		uses = collectUses(info, prod.fn, prod.obj, bufConsumingMethod)
-	} else {
-		uses = p.Mod.adjustedUses(p.Pkg, prod.fn, prod.obj, trackBuf)
-	}
 	var consumes []objUse
-	for _, u := range uses {
+	for _, u := range p.Mod.adjustedUses(p.Pkg, prod.fn, prod.obj, trackBuf) {
 		if u.consuming {
 			consumes = append(consumes, u)
 		}
@@ -145,12 +104,8 @@ func checkBufferLifecycle(p *Pass, prod producer, callee string, intra bool) {
 			"buffer %q allocated by %s is never freed, pushed, returned, or stored", prod.obj.Name(), callee)
 		return
 	}
-	if intra {
-		checkEarlyReturns(p, prod, consumes)
-	} else {
-		checkPathLeaks(p, prod, callee, consumes)
-	}
-	checkPushPaths(p, prod, consumes, intra)
+	checkPathLeaks(p, prod, callee, consumes)
+	checkPushPaths(p, prod)
 }
 
 // checkPathLeaks walks the CFG from the producing statement along paths
@@ -164,7 +119,7 @@ func checkPathLeaks(p *Pass, prod producer, callee string, consumes []objUse) {
 	// a buffer produced and consumed inside a closure is not answerable to
 	// the enclosing function's returns.
 	g := p.Mod.bodyCFG(innermostFuncBody(prod.fn, prod.call))
-	if deferConsumes(info, g, prod.obj, trackBuf, p.Mod) {
+	if deferConsumes(info, g, prod.obj, trackBuf) {
 		return // a deferred Free runs at every exit
 	}
 	start, idx := g.Lookup(prod.stmt)
@@ -268,65 +223,11 @@ func checkBufParamModes(p *Pass, file *ast.File, isBuf func(types.Type) bool) {
 	}
 }
 
-// checkEarlyReturns flags return statements between the allocation and the
-// buffer's first consuming use: on those paths the buffer leaks. Returns
-// guarded by the allocation's own error (the alloc failed, so there is no
-// buffer) are exempt.
-func checkEarlyReturns(p *Pass, prod producer, consumes []objUse) {
-	first := token.Pos(-1)
-	for _, c := range consumes {
-		if c.id.Pos() > prod.call.End() && (first < 0 || c.id.Pos() < first) {
-			first = c.id.Pos()
-		}
-	}
-	if first < 0 {
-		return // all consuming uses are textually before the allocation (loop back-edge)
-	}
-	info := p.Pkg.Info
-	walkStack(prod.fn, func(n ast.Node, stack []ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if ret.Pos() <= prod.call.End() || ret.Pos() >= first {
-			return true
-		}
-		if guardedByAllocError(info, stack, prod.errObj) {
-			return true
-		}
-		for _, r := range ret.Results {
-			if containsIdentOf(info, r, prod.obj) {
-				return true
-			}
-		}
-		p.Reportf(ret.Pos(), "Free the buffer before this return (or on a deferred path)",
-			"buffer %q (allocated at line %d) leaks on this return path",
-			prod.obj.Name(), p.Mod.Fset.Position(prod.call.Pos()).Line)
-		return true
-	})
-}
-
-// guardedByAllocError reports whether the statement sits inside an if
-// branch conditioned on the allocation's error result — i.e. the path
-// where no buffer was handed out.
-func guardedByAllocError(info *types.Info, stack []ast.Node, errObj types.Object) bool {
-	if errObj == nil {
-		return false
-	}
-	for _, n := range stack {
-		if ifs, ok := n.(*ast.IfStmt); ok && containsIdentOf(info, ifs.Cond, errObj) {
-			return true
-		}
-	}
-	return false
-}
-
 // checkPushPaths verifies rule 3 (the error branch of a push frees the
-// buffer) and rule 4 (no writes through the buffer after a push). In
-// interprocedural mode the same error-branch contract is enforced at call
-// sites of any helper summarized ParamConsumesOnSuccess — a push-like
-// transfer wrapped in module code.
-func checkPushPaths(p *Pass, prod producer, consumes []objUse, intra bool) {
+// buffer) and rule 4 (no writes through the buffer after a push). The same
+// error-branch contract is enforced at call sites of any helper summarized
+// ParamConsumesOnSuccess — a push-like transfer wrapped in module code.
+func checkPushPaths(p *Pass, prod producer) {
 	info := p.Pkg.Info
 	firstPush := token.Pos(-1)
 	walkStack(prod.fn, func(n ast.Node, stack []ast.Node) bool {
@@ -342,9 +243,6 @@ func checkPushPaths(p *Pass, prod producer, consumes []objUse, intra bool) {
 				firstPush = call.Pos()
 			}
 			checkPushErrorBranch(p, prod, call, stack)
-			return true
-		}
-		if intra {
 			return true
 		}
 		// The buffer flows (as a direct argument) into a helper that
@@ -520,28 +418,14 @@ func condNilTest(info *types.Info, cond ast.Expr) (token.Token, types.Object) {
 	return be.Op, obj
 }
 
-// condErrorTest decodes a `err != nil` / `err == nil` condition.
+// condErrorTest decodes a `err != nil` / `err == nil` condition: a nil
+// test of an error-typed identifier.
 func condErrorTest(info *types.Info, cond ast.Expr) (token.Token, types.Object) {
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok || (be.Op != token.NEQ && be.Op != token.EQL) {
-		return token.ILLEGAL, nil
-	}
-	id, nilSide := be.X, be.Y
-	if isNilIdent(id) {
-		id, nilSide = be.Y, be.X
-	}
-	if !isNilIdent(nilSide) {
-		return token.ILLEGAL, nil
-	}
-	e, ok := id.(*ast.Ident)
-	if !ok {
-		return token.ILLEGAL, nil
-	}
-	obj := info.Uses[e]
+	op, obj := condNilTest(info, cond)
 	if obj == nil || !isErrorType(obj.Type()) {
 		return token.ILLEGAL, nil
 	}
-	return be.Op, obj
+	return op, obj
 }
 
 func isNilIdent(e ast.Expr) bool {

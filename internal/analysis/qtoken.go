@@ -39,14 +39,11 @@ func runQToken(p *Pass) {
 	if strings.HasSuffix(p.Pkg.Path, "internal/core") {
 		return // the token table is the redemption authority for its own ops
 	}
-	qtok := p.Mod.LookupNamed("internal/core", "QToken")
-	if qtok == nil {
+	s := p.Mod.summaryState()
+	if s.trackedNamed[trackQTok] == nil {
 		return
 	}
-	isTok := func(t types.Type) bool {
-		n, ok := t.(*types.Named)
-		return ok && n.Obj() == qtok.Obj()
-	}
+	isTok := s.matcher(trackQTok)
 	info := p.Pkg.Info
 	for _, file := range p.Pkg.Files {
 		for _, prod := range findProducers(info, file, isTok, nil) {

@@ -8,10 +8,9 @@ import (
 )
 
 // summary_test.go asserts on the interprocedural engine's fixpoint
-// directly, over the sumfix fixture: parameter modes, owned results, and
-// cost estimates — including convergence under recursion and mutual
-// recursion, which a naive bottom-up pass would either loop on or
-// misclassify.
+// directly, over the sumfix fixture: parameter modes and owned results —
+// including convergence under mutual recursion, which a naive bottom-up
+// pass would either loop on or misclassify.
 
 func loadSumfix(t *testing.T) (*Module, *Package) {
 	t.Helper()
@@ -95,15 +94,16 @@ func TestOwnedResults(t *testing.T) {
 	}
 }
 
-func TestCostEstimateRecursion(t *testing.T) {
+// TestAllocFacts pins the engine's allocation fact as the nonalloc
+// analyzer reads it, from the frozen memo: a wrapper around the heap
+// allocator allocates, read-only helpers do not.
+func TestAllocFacts(t *testing.T) {
 	m, pkg := loadSumfix(t)
-	for _, fn := range []string{"rec", "even", "odd"} {
-		if got := m.CostEstimate(funcNamed(t, pkg, fn)); got != CostUnbounded {
-			t.Errorf("CostEstimate(%s) = %d, want CostUnbounded", fn, got)
+	m.Precompute()
+	for fn, want := range map[string]bool{"wrapAlloc": true, "passthrough": false, "blen": false} {
+		if got := m.allocates(funcNamed(t, pkg, fn)); got != want {
+			t.Errorf("allocates(%s) = %v, want %v", fn, got, want)
 		}
-	}
-	if got := m.CostEstimate(funcNamed(t, pkg, "straight")); got <= 0 {
-		t.Errorf("CostEstimate(straight) = %d, want a positive bounded cost", got)
 	}
 }
 

@@ -1,8 +1,6 @@
 // Package interprocfix seeds cross-function ownership and redemption
-// leaks that only the interprocedural engine catches: the old
-// intra-function checker treats every helper call as consuming, so each
-// finding here doubles as a regression test against it
-// (TestInterprocRegression).
+// leaks that only an interprocedural analysis catches: a checker that
+// treats every helper call as consuming reports none of them.
 package interprocfix
 
 import (

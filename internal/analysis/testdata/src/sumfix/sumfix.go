@@ -1,7 +1,7 @@
 // Package sumfix exercises the summary engine's fixpoint directly (no
 // want comments — summary_test.go asserts on the computed summaries):
-// parameter-mode classification, owned-result provenance, and cost
-// estimates under recursion and mutual recursion.
+// parameter-mode classification and owned-result provenance, including
+// under mutual recursion.
 package sumfix
 
 import "demikernel/internal/memory"
@@ -37,27 +37,6 @@ func rewrap(h *memory.Heap, n int) *memory.Buf {
 // passthrough returns its argument: no fresh ownership in the result.
 func passthrough(b *memory.Buf) *memory.Buf { return b }
 
-func rec(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return rec(n-1) + 1
-}
-
-func even(n int) bool {
-	if n == 0 {
-		return true
-	}
-	return odd(n - 1)
-}
-
-func odd(n int) bool {
-	if n == 0 {
-		return false
-	}
-	return even(n - 1)
-}
-
 // pingFree/pongFree consume the buffer through mutual recursion: the
 // fixpoint must converge with both summarized as consuming.
 func pingFree(b *memory.Buf, n int) {
@@ -70,9 +49,4 @@ func pingFree(b *memory.Buf, n int) {
 
 func pongFree(b *memory.Buf, n int) {
 	pingFree(b, n-1)
-}
-
-func straight(x int) int {
-	y := x * 2
-	return y + 1
 }

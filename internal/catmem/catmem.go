@@ -686,8 +686,6 @@ func (l *LibOS) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QTok
 }
 
 // Pop asks for the next scatter-gather array on the queue.
-//
-//demi:budget=5us static estimate 3.124us; pop arming is on the request fast path
 func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
 	l.node.Charge(costmodel.Libcall)
 	q, ok := l.qds.Lookup(qd)

@@ -294,6 +294,9 @@ func blocksFor(n int) int {
 // when the record is durable.
 func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
 	l.node.Charge(costmodel.Libcall)
+	if len(sga.Segs) == 0 {
+		return core.InvalidQToken, core.ErrEmptySGA
+	}
 	q, ok := l.qds.Lookup(qd)
 	if !ok {
 		return core.InvalidQToken, core.ErrBadQDesc
@@ -301,9 +304,6 @@ func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
 	lq, ok := q.(*logQueue)
 	if !ok {
 		return core.InvalidQToken, core.ErrNotSupported
-	}
-	if len(sga.Segs) == 0 {
-		return core.InvalidQToken, core.ErrEmptySGA
 	}
 	op := l.tokens.New()
 	payload := sga.Flatten() // staged into the block-aligned write buffer

@@ -2,6 +2,7 @@ package cattree
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"demikernel/internal/core"
@@ -294,6 +295,30 @@ func TestPartitionFullRejectsPush(t *testing.T) {
 		ev, err := l.Wait(qt)
 		if err != nil || ev.Err == nil {
 			t.Fatalf("overflowing push accepted: %v %+v", err, ev)
+		}
+	})
+}
+
+// TestPushErrorPrecedence pins the PDPIX argument-check order every libOS
+// shares: an empty SGA is rejected before the queue descriptor is looked
+// up, and a rejected push leaves the caller owning its buffers.
+func TestPushErrorPrecedence(t *testing.T) {
+	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
+		const badQD = core.QDesc(12345)
+		buf := memory.CopyFrom(l.Heap(), []byte("record"))
+		if qt, err := l.Push(badQD, core.SGArray{}); !errors.Is(err, core.ErrEmptySGA) || qt != core.InvalidQToken {
+			t.Errorf("Push(badQD, empty) = %v, %v; want ErrEmptySGA", qt, err)
+		}
+		if qt, err := l.Push(badQD, core.SGA(buf)); !errors.Is(err, core.ErrBadQDesc) || qt != core.InvalidQToken {
+			t.Errorf("Push(badQD, nonEmpty) = %v, %v; want ErrBadQDesc", qt, err)
+		}
+		if !buf.AppOwned() || buf.IOOwned() || l.Heap().LiveObjects() != 1 {
+			t.Fatalf("rejected push took the buffer: app-owned %v, io-owned %v, live %d",
+				buf.AppOwned(), buf.IOOwned(), l.Heap().LiveObjects())
+		}
+		buf.Free()
+		if l.Heap().LiveObjects() != 0 {
+			t.Errorf("buffer leaked after the caller's Free: live %d", l.Heap().LiveObjects())
 		}
 	})
 }

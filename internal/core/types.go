@@ -81,10 +81,10 @@ func (o OpCode) String() string {
 	}
 }
 
-// QEvent is the completion of one asynchronous operation.
-//
-//demi:carrier completions are the PDPIX transfer record: a pop's received
+// QEvent is the completion of one asynchronous operation. A pop's received
 // buffers ride the event to the caller, who owns them on redemption.
+//
+//demi:carrier completions are the PDPIX transfer record
 type QEvent struct {
 	QD    QDesc
 	Op    OpCode

@@ -177,8 +177,6 @@ func (h *Heap) SetAllocFault(f func(size int) bool) { h.allocFault = f }
 // with the application holding its reference. It panics if the heap is
 // exhausted — callers that can degrade use TryAlloc instead; callers that
 // cannot (fixed pre-sized pools, test fixtures) keep the invariant panic.
-//
-//demi:budget=2100ns static estimate 1.369us; slot carve-out is the per-I/O allocation
 func (h *Heap) Alloc(size int) *Buf {
 	b, err := h.TryAlloc(size)
 	if err != nil {

@@ -61,10 +61,10 @@ const (
 	OpQPErr
 )
 
-// CQE is a completion queue entry.
+// CQE is a completion queue entry. It hands the posted receive buffer
+// back to the poller.
 //
-//demi:carrier completion entries hand the posted receive buffer back to
-// the poller; ownership transfers with the entry by the verbs contract.
+//demi:carrier ownership transfers with the entry by the verbs contract
 type CQE struct {
 	QPN uint32
 	Op  Opcode

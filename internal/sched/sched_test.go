@@ -276,3 +276,37 @@ func BenchmarkSchedScan1000Blocked(b *testing.B) {
 		s.RunOne()
 	}
 }
+
+// selfWaker re-arms its own readiness bit on every poll, so it is always
+// the next coroutine RunOne finds.
+type selfWaker struct{ polls int }
+
+func (c *selfWaker) Poll(ctx *Context) Poll {
+	c.polls++
+	ctx.Waker().Wake()
+	return Pending
+}
+
+// TestRunOneAllocs checks the //demi:nonalloc claim on RunOne and runClass
+// at run time: a scheduling decision on a warmed scheduler, scanning past
+// the empty App and Background classes to a ready FastPath coroutine,
+// allocates nothing.
+func TestRunOneAllocs(t *testing.T) {
+	s := New()
+	co := &selfWaker{}
+	s.Spawn(FastPath, co)
+	if !s.RunOne() {
+		t.Fatal("self-waking coroutine did not run")
+	}
+	ran := true
+	allocs := testing.AllocsPerRun(100, func() { ran = ran && s.RunOne() })
+	if !ran {
+		t.Fatal("self-waking coroutine stopped running")
+	}
+	if allocs != 0 {
+		t.Errorf("RunOne allocates %.1f times per call, want 0", allocs)
+	}
+	if co.polls != 102 {
+		t.Errorf("polls = %d, want 102 (warm-up, AllocsPerRun's warm-up, 100 runs)", co.polls)
+	}
+}

@@ -250,3 +250,48 @@ func TestUDPRoundtripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// timestampedSegment marshals a timestamped ACK carrying a 64 B payload,
+// the shape of a Catnip data segment.
+func timestampedSegment() (h TCPHeader, seg, payload []byte, src, dst IPAddr) {
+	src, dst = IPAddr{10, 0, 0, 1}, IPAddr{10, 0, 0, 2}
+	h = TCPHeader{
+		SrcPort: 33000, DstPort: 7,
+		Seq: 1000, Ack: 2000,
+		Flags: TCPAck | TCPPsh, Window: 0xffff,
+		Opt: TCPOptions{TSVal: 111, TSEcr: 222, HasTimestamp: true},
+	}
+	seg = make([]byte, h.MarshalLen()+64)
+	payload = seg[h.MarshalLen():]
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	h.Marshal(seg, src, dst, payload)
+	return h, seg, payload, src, dst
+}
+
+// TestTCPMarshalAllocs checks the //demi:nonalloc claim on TCPHeader.Marshal
+// at run time.
+func TestTCPMarshalAllocs(t *testing.T) {
+	h, seg, payload, src, dst := timestampedSegment()
+	allocs := testing.AllocsPerRun(100, func() { h.Marshal(seg, src, dst, payload) })
+	if allocs != 0 {
+		t.Errorf("Marshal allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestParseTCPAllocs checks the //demi:nonalloc claim on ParseTCP at run
+// time, checksum verification included.
+func TestParseTCPAllocs(t *testing.T) {
+	h, seg, payload, src, dst := timestampedSegment()
+	var got TCPHeader
+	var gotPayload []byte
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { got, gotPayload, err = ParseTCP(seg, src, dst) })
+	if err != nil || got != h || !bytes.Equal(gotPayload, payload) {
+		t.Fatalf("ParseTCP = %+v, %d B, %v; want %+v, %d B, nil", got, len(gotPayload), err, h, len(payload))
+	}
+	if allocs != 0 {
+		t.Errorf("ParseTCP allocates %.1f times per call, want 0", allocs)
+	}
+}
