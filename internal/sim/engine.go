@@ -3,11 +3,17 @@ package sim
 import "fmt"
 
 // Engine is the discrete-event simulator. It owns the global event heap and
-// coordinates node execution with a baton: the engine loop either processes
-// the earliest pending event or hands control to the runnable node with the
-// smallest local clock, and waits for it to park. Because exactly one
-// goroutine (the engine or a single node) executes at any time, the engine
-// state needs no locks; the channels provide the happens-before edges.
+// coordinates node execution with a baton: whoever holds the baton processes
+// the earliest pending events and then passes it directly to the runnable
+// node with the smallest local clock. A parking node runs that scheduling
+// step on its own goroutine and switches straight to its successor, or keeps
+// running when it is its own successor; Run holds the baton only to make the
+// first grant and to shut down once the simulation quiesces or stops.
+// Because exactly one goroutine (Run or a single node) executes at any time,
+// the engine state needs no locks; the channels provide the happens-before
+// edges. Event closures run on whichever goroutine holds the baton, so they
+// must not call Park or runtime.Goexit (t.Fatal belongs in node mains and
+// test bodies, never in At closures).
 //
 // Causality invariant: every runnable node's clock is >= the engine's
 // current time, and events are executed in nondecreasing (time, seq) order,
@@ -19,10 +25,10 @@ type Engine struct {
 	nodes []*Node
 	rng   *Rand
 
-	back          chan struct{} // baton: node -> engine
+	back          chan struct{} // baton: node -> Run, on quiescence, stop or shutdown
 	stopRequested bool
 	stopped       bool
-	runSeq        uint64 // ticks once per baton handoff (round-robin ties)
+	runSeq        uint64 // ticks once per baton grant (round-robin ties)
 
 	eventsRun uint64
 	mains     map[*Node]func() // app entry points not yet started
@@ -73,12 +79,18 @@ func (e *Engine) Spawn(n *Node, fn func()) {
 	e.mains[n] = fn
 	go func() {
 		<-n.resume
-		// The deferred handoff also covers runtime.Goexit (e.g. t.Fatal
-		// inside a node's main), which would otherwise deadlock the
-		// engine loop waiting for the baton.
+		// The finishing node passes the baton on itself, like a parking
+		// one. Deferring the handoff also covers runtime.Goexit (e.g.
+		// t.Fatal inside a node's main), which would otherwise leave no
+		// goroutine holding the baton. Once the engine is stopped, no
+		// events run: the baton goes straight back to Run's goroutine.
 		defer func() {
 			n.state = stateFinished
-			e.back <- struct{}{}
+			if e.stopped {
+				e.back <- struct{}{}
+				return
+			}
+			e.pass(e.advance())
 		}()
 		fn()
 	}()
@@ -86,9 +98,9 @@ func (e *Engine) Spawn(n *Node, fn func()) {
 
 // At schedules fn to run at virtual time t. After fn runs, target (if
 // non-nil and parked) is woken with its clock advanced to at least t.
-// fn may be nil (pure wakeup). At may be called from the engine loop, an
-// event, or the currently running node; t is clamped to the caller's
-// present to preserve causality.
+// fn may be nil (pure wakeup). At may be called before Run, from an event,
+// or from the currently running node; t is clamped to the caller's present
+// to preserve causality.
 func (e *Engine) At(t Time, target *Node, fn func()) {
 	if t < e.now {
 		t = e.now
@@ -123,44 +135,64 @@ func (e *Engine) minRunnable() *Node {
 
 // Run executes the simulation until it quiesces (no pending events and no
 // runnable node) or Stop is requested. It then releases every parked node.
+// Run makes the first grant; nodes then pass the baton among themselves and
+// hand it back only when the holder finds nothing left to run.
 func (e *Engine) Run() {
-	for !e.stopRequested {
-		next := e.minRunnable()
-		// Process every event at or before the next node's clock. With no
-		// runnable node, drain events until one wakes somebody.
-		for e.heap.len() > 0 && (next == nil || e.heap.peek().at <= next.clock) {
-			ev := e.heap.pop()
-			e.now = ev.at
-			e.eventsRun++
-			if ev.fn != nil {
-				ev.fn()
-			}
-			if t := ev.target; t != nil && t.state == stateParked {
-				t.state = stateRunnable
-				if ev.at > t.clock {
-					t.clock = ev.at
-				}
-			}
-			if e.stopRequested {
-				break
-			}
-			next = e.minRunnable()
-		}
-		if next == nil || e.stopRequested {
-			break // quiescent or stopping
-		}
-		e.step(next)
+	// Looking again after the baton returns matters only when Run is called
+	// on a stopped engine: a finishing node then hands back unconditionally.
+	for next := e.advance(); next != nil; next = e.advance() {
+		e.pass(next)
+		<-e.back
 	}
 	e.shutdown()
 }
 
-// step hands the baton to n and waits until it parks or finishes.
-func (e *Engine) step(n *Node) {
+// advance processes every event at or before the next runnable node's clock
+// and returns that node, or nil when the simulation is quiescent or stopping.
+// It runs on whichever goroutine holds the baton.
+func (e *Engine) advance() *Node {
+	if e.stopRequested {
+		return nil
+	}
+	next := e.minRunnable()
+	// With no runnable node, drain events until one wakes somebody.
+	for e.heap.len() > 0 && (next == nil || e.heap.peek().at <= next.clock) {
+		ev := e.heap.pop()
+		e.now = ev.at
+		e.eventsRun++
+		if ev.fn != nil {
+			ev.fn()
+		}
+		if t := ev.target; t != nil && t.state == stateParked {
+			t.state = stateRunnable
+			if ev.at > t.clock {
+				t.clock = ev.at
+			}
+		}
+		if e.stopRequested {
+			return nil
+		}
+		next = e.minRunnable()
+	}
+	return next
+}
+
+// grant gives n the baton's bookkeeping: it becomes the running node.
+func (e *Engine) grant(n *Node) {
 	e.runSeq++
 	n.ranSeq = e.runSeq
 	n.state = stateRunning
-	n.resume <- struct{}{}
-	<-e.back
+}
+
+// pass hands the baton from the calling goroutine to next, or back to Run
+// when next is nil. The caller must not touch simulation state afterwards.
+func (e *Engine) pass(next *Node) {
+	if next == nil {
+		e.back <- struct{}{}
+		return
+	}
+	e.grant(next)
+	next.resume <- struct{}{}
 }
 
 // shutdown marks the engine stopped and unblocks every parked node so its
@@ -178,6 +210,7 @@ func (e *Engine) shutdown() {
 		if parked == nil {
 			return
 		}
-		e.step(parked)
+		e.pass(parked)
+		<-e.back
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,13 +164,7 @@ func TestQuiescenceWithParkedServer(t *testing.T) {
 	})
 	client := e.NewNode("client")
 	e.Spawn(client, func() { client.Charge(time.Microsecond) })
-	done := make(chan struct{})
-	go func() { e.Run(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not quiesce")
-	}
+	runWithin(t, e)
 }
 
 func TestYieldOrdersByClock(t *testing.T) {
@@ -228,6 +223,118 @@ func TestDeterminism(t *testing.T) {
 		if t1[i] != t2[i] {
 			t.Fatalf("traces diverge at %d: %v vs %v", i, t1[i], t2[i])
 		}
+	}
+}
+
+// runWithin runs e and fails the test if Run does not return in time.
+func runWithin(t *testing.T, e *Engine) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { e.Run(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return")
+	}
+}
+
+// A node whose main exits through runtime.Goexit (as t.Fatal does) still
+// passes the baton on: Run returns and the other node finishes.
+func TestGoexitNodePassesBaton(t *testing.T) {
+	e := NewEngine(1)
+	quitter, worker := e.NewNode("quitter"), e.NewNode("worker")
+	e.Spawn(quitter, func() {
+		quitter.Park(quitter.Now().Add(time.Microsecond))
+		runtime.Goexit()
+	})
+	var rounds int
+	e.Spawn(worker, func() {
+		for ; rounds < 3; rounds++ {
+			if !worker.Park(worker.Now().Add(time.Microsecond)) {
+				return
+			}
+		}
+	})
+	runWithin(t, e)
+	if rounds != 3 {
+		t.Errorf("worker completed %d rounds, want 3", rounds)
+	}
+	if quitter.state != stateFinished || worker.state != stateFinished {
+		t.Errorf("states = %v, %v, want both finished", quitter.state, worker.state)
+	}
+}
+
+// A wake event that calls Stop, processed inside a parking node's
+// scheduling step, ends the run: every parked node's Park reports false.
+func TestStopFromWakeEventWhileNodeHoldsBaton(t *testing.T) {
+	e := NewEngine(1)
+	waker, sleeper := e.NewNode("waker"), e.NewNode("sleeper")
+	wakerOK, sleeperOK := true, true
+	e.Spawn(sleeper, func() { sleeperOK = sleeper.Park(Infinity) })
+	e.Spawn(waker, func() {
+		waker.Charge(time.Microsecond)
+		e.At(waker.Now().Add(time.Microsecond), sleeper, func() { e.Stop() })
+		wakerOK = waker.Park(Infinity)
+	})
+	late := false
+	e.At(Time(0).Add(time.Millisecond), nil, func() { late = true })
+	runWithin(t, e)
+	if wakerOK || sleeperOK {
+		t.Errorf("Park results: waker %v, sleeper %v, want false", wakerOK, sleeperOK)
+	}
+	if late {
+		t.Error("event after Stop was processed")
+	}
+}
+
+// A running node that calls Stop and then parks gets false from that Park,
+// as does every other parked node.
+func TestStopThenParkFromRunningNode(t *testing.T) {
+	e := NewEngine(1)
+	stopper, idle := e.NewNode("stopper"), e.NewNode("idle")
+	idleOK, stopperOK := true, true
+	e.Spawn(idle, func() { idleOK = idle.Park(Infinity) })
+	e.Spawn(stopper, func() {
+		stopper.Charge(time.Microsecond)
+		e.At(stopper.Now(), idle, nil)
+		e.Stop()
+		stopperOK = stopper.Park(Infinity)
+		if stopper.Park(Infinity) {
+			t.Error("second Park after Stop reported true")
+		}
+	})
+	runWithin(t, e)
+	if stopperOK || idleOK {
+		t.Errorf("Park results: stopper %v, idle %v, want false", stopperOK, idleOK)
+	}
+}
+
+// A warmed two-node cycle (wake the peer, park forever) and a Yield that is
+// its own successor allocate nothing.
+func TestHandoffAllocs(t *testing.T) {
+	e := NewEngine(1)
+	a, b := e.NewNode("a"), e.NewNode("b")
+	var allocs float64
+	e.Spawn(a, func() {
+		allocs = testing.AllocsPerRun(1000, func() {
+			e.At(a.Now(), b, nil)
+			a.Park(Infinity)
+			a.Charge(time.Nanosecond)
+			a.Yield()
+		})
+		e.Stop()
+	})
+	e.Spawn(b, func() {
+		for {
+			e.At(b.Now(), a, nil)
+			if !b.Park(Infinity) {
+				return
+			}
+		}
+	})
+	runWithin(t, e)
+	if allocs != 0 {
+		t.Errorf("handoff cycle allocates %v per op, want 0", allocs)
 	}
 }
 

@@ -3,9 +3,9 @@ package sim
 import "time"
 
 // nodeState tracks where a node is in its lifecycle. Transitions are driven
-// entirely by the engine loop and the node's own Park calls, under the
-// baton discipline (exactly one of {engine, some node} executes at a time),
-// so no locking is needed.
+// entirely by the baton holder's scheduling step and the node's own Park
+// calls, under the baton discipline (exactly one of {Run, some node}
+// executes at a time), so no locking is needed.
 type nodeState int
 
 const (
@@ -30,7 +30,7 @@ type Node struct {
 	busy   time.Duration // total charged CPU time
 	parks  uint64        // number of Park calls (idle transitions)
 	ranSeq uint64        // engine.runSeq at last baton grant (round-robin ties)
-	resume chan struct{} // baton: engine -> node
+	resume chan struct{} // baton: previous holder (Run or a node) -> node
 }
 
 // Name returns the node's diagnostic name.
@@ -61,20 +61,27 @@ func (n *Node) Charge(d time.Duration) {
 // false when the engine is stopping, in which case the caller must unwind
 // promptly (no further Park will block).
 func (n *Node) Park(deadline Time) bool {
-	if n.eng.stopped {
+	e := n.eng
+	if e.stopped {
 		return false
 	}
 	if deadline != Infinity {
 		if deadline < n.clock {
 			deadline = n.clock
 		}
-		n.eng.At(deadline, n, nil)
+		e.At(deadline, n, nil)
 	}
 	n.parks++
 	n.state = stateParked
-	n.eng.back <- struct{}{}
+	// Run the scheduling step here and switch straight to the successor.
+	next := e.advance()
+	if next == n {
+		e.grant(n) // its own successor: no goroutine switch
+		return true
+	}
+	e.pass(next)
 	<-n.resume
-	return !n.eng.stopped
+	return !e.stopped
 }
 
 // Yield parks until the engine has processed every event up to the node's
