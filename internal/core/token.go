@@ -44,10 +44,13 @@ func (o *Op) Complete(ev QEvent) {
 	}
 	o.done = true
 	o.ev = ev
-	if t := o.tbl; t != nil && t.clock != nil {
-		o.completedAt = t.clock.Now()
-		if t.lat != nil {
-			t.lat.Observe(int64(o.completedAt - o.issuedAt))
+	if t := o.tbl; t != nil {
+		t.gen++
+		if t.clock != nil {
+			o.completedAt = t.clock.Now()
+			if t.lat != nil {
+				t.lat.Observe(int64(o.completedAt - o.issuedAt))
+			}
 		}
 	}
 }
@@ -57,8 +60,24 @@ func (o *Op) Fail(qd QDesc, opc OpCode, err error) {
 	o.Complete(QEvent{QD: qd, Op: opc, Err: err})
 }
 
+// ringSize is the number of slots in a TokenTable's ring (a power of two).
+// It comfortably covers the echo server's ~68-token wait set and the mints
+// made while one of its pops waits for a request.
+const ringSize = 256
+
 // TokenTable issues qtokens and tracks outstanding operations. Demikernel
 // datapaths are single-threaded, so the table needs no locking.
+//
+// Tokens are sequential. An outstanding op lives in ring[qt%ringSize]
+// until a mint ringSize tokens later needs its slot; the op then moves to
+// the overflow map, where the few long-lived ones (a listener's accept,
+// say) stay until redeemed. A lookup is one slot load and a token compare,
+// and reaches the map only on a miss.
+//
+// gen counts completions and redemptions, the only events that change what
+// a scan of outstanding tokens can find (ops are created only by New, only
+// Complete sets done, only a redemption removes one). A wait loop whose
+// scan found nothing rescans only once gen has moved.
 //
 // A table can be instrumented (Instrument, SetLatencyHist, SetRecorder) to
 // stamp every operation's lifecycle against a virtual clock: issue at New,
@@ -66,7 +85,9 @@ func (o *Op) Fail(qd QDesc, opc OpCode, err error) {
 // one nil check per stage.
 type TokenTable struct {
 	next   QToken
-	ops    map[QToken]*Op
+	gen    uint64
+	ring   [ringSize]*Op
+	over   map[QToken]*Op // ops still outstanding when the ring lapped them
 	clock  sim.Clock
 	coreID int32
 	lat    *telemetry.Histogram
@@ -83,8 +104,13 @@ type TokenTable struct {
 
 // NewTokenTable returns an empty table.
 func NewTokenTable() *TokenTable {
-	return &TokenTable{ops: make(map[QToken]*Op)}
+	return &TokenTable{over: make(map[QToken]*Op)}
 }
+
+// Generation returns the table's completion-and-redemption count. A scan
+// of outstanding tokens that found nothing completed finds the same until
+// the generation moves.
+func (t *TokenTable) Generation() uint64 { return t.gen }
 
 // Instrument attaches a virtual clock (and the issuing core's id, for span
 // labels) so operations are lifecycle-stamped. Calling it again updates the
@@ -129,13 +155,20 @@ func (t *TokenTable) New() *Op {
 	if t.clock != nil {
 		op.issuedAt = t.clock.Now()
 	}
-	t.ops[op.qt] = op
+	slot := &t.ring[op.qt%ringSize]
+	if old := *slot; old != nil {
+		t.over[old.qt] = old // lapped while still outstanding
+	}
+	*slot = op
 	return op
 }
 
 // Lookup returns the operation for qt, if outstanding.
 func (t *TokenTable) Lookup(qt QToken) (*Op, bool) {
-	op, ok := t.ops[qt]
+	if op := t.ring[qt%ringSize]; op != nil && op.qt == qt {
+		return op, true
+	}
+	op, ok := t.over[qt]
 	return op, ok
 }
 
@@ -145,11 +178,14 @@ func (t *TokenTable) Lookup(qt QToken) (*Op, bool) {
 // it is the trusted-driver path (demi.Combined, bench drivers); tenant
 // code goes through TryTakeAs.
 func (t *TokenTable) TryTake(qt QToken) (QEvent, bool, error) {
-	op, exists := t.ops[qt]
-	if !exists {
+	op, ok := t.Lookup(qt)
+	if !ok {
 		return QEvent{}, false, ErrBadQToken
 	}
-	return t.take(qt, op)
+	if !op.done {
+		return QEvent{}, false, nil
+	}
+	return t.take(op), true, nil
 }
 
 // TryTakeAs redeems qt on behalf of tenant principal tid. A token minted
@@ -159,26 +195,43 @@ func (t *TokenTable) TryTake(qt QToken) (QEvent, bool, error) {
 // rejection is indistinguishable from an unknown token, so probing leaks
 // nothing about the victim's outstanding ops.
 func (t *TokenTable) TryTakeAs(qt QToken, tid uint32) (QEvent, bool, error) {
-	op, exists := t.ops[qt]
-	if !exists {
-		return QEvent{}, false, ErrBadQToken
+	op, err := t.probe(qt, tid)
+	if err != nil {
+		return QEvent{}, false, err
+	}
+	if !op.done {
+		return QEvent{}, false, nil
+	}
+	return t.take(op), true, nil
+}
+
+// probe returns qt's outstanding operation if tenant tid may redeem it,
+// without consuming it. An unknown token and a foreign one both fail with
+// ErrBadQToken; a foreign one also counts as a forgery.
+func (t *TokenTable) probe(qt QToken, tid uint32) (*Op, error) {
+	op, ok := t.Lookup(qt)
+	if !ok {
+		return nil, ErrBadQToken
 	}
 	if op.tenant != tid {
 		t.forgeries++
 		if t.onForgery != nil {
 			t.onForgery(op.tenant, tid)
 		}
-		return QEvent{}, false, ErrBadQToken
+		return nil, ErrBadQToken
 	}
-	return t.take(qt, op)
+	return op, nil
 }
 
-// take finishes a redemption whose principal check already passed.
-func (t *TokenTable) take(qt QToken, op *Op) (QEvent, bool, error) {
-	if !op.done {
-		return QEvent{}, false, nil
+// take redeems a completed operation, removing it from the table.
+func (t *TokenTable) take(op *Op) QEvent {
+	qt := op.qt
+	if slot := &t.ring[qt%ringSize]; *slot == op {
+		*slot = nil
+	} else {
+		delete(t.over, qt)
 	}
-	delete(t.ops, qt)
+	t.gen++
 	if t.rec != nil && t.clock != nil {
 		t.rec.Record(telemetry.Span{
 			Token:     uint64(qt),
@@ -198,14 +251,14 @@ func (t *TokenTable) take(qt QToken, op *Op) (QEvent, bool, error) {
 		t.dt.OpSpan(ctx, uint64(qt), uint8(op.ev.Op), int32(op.ev.QD),
 			int64(op.issuedAt), int64(op.completedAt), int64(t.clock.Now()))
 	}
-	return op.ev, true, nil
+	return op.ev
 }
 
 // Cancel drops an outstanding operation without completing it (used when a
 // queue closes with operations pending). The token is failed so a waiter
 // redeems an error instead of hanging.
 func (t *TokenTable) Cancel(qt QToken, qd QDesc, opc OpCode) {
-	if op, ok := t.ops[qt]; ok && !op.done {
+	if op, ok := t.Lookup(qt); ok && !op.done {
 		op.Fail(qd, opc, ErrQueueClosed)
 	}
 }
@@ -213,11 +266,11 @@ func (t *TokenTable) Cancel(qt QToken, qd QDesc, opc OpCode) {
 // Outstanding returns the number of incomplete operations.
 func (t *TokenTable) Outstanding() int {
 	n := 0
-	for _, op := range t.ops {
+	t.each(func(op *Op) {
 		if !op.done {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -225,10 +278,22 @@ func (t *TokenTable) Outstanding() int {
 // one tenant principal.
 func (t *TokenTable) OutstandingFor(tid uint32) int {
 	n := 0
-	for _, op := range t.ops {
+	t.each(func(op *Op) {
 		if !op.done && op.tenant == tid {
 			n++
 		}
-	}
+	})
 	return n
+}
+
+// each calls fn for every operation in the table.
+func (t *TokenTable) each(fn func(*Op)) {
+	for _, op := range t.ring {
+		if op != nil {
+			fn(op)
+		}
+	}
+	for _, op := range t.over {
+		fn(op)
+	}
 }

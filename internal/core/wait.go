@@ -10,7 +10,9 @@ import (
 // This is the heart of Demikernel's cooperative execution: Wait does not
 // sleep in a kernel — it *is* the scheduler loop, running application
 // coroutines, background protocol work and the device fast path until the
-// awaited token completes (paper §5.2's run-to-completion flow).
+// awaited token completes (paper §5.2's run-to-completion flow). Between
+// quanta it rescans its wait set only after the table's generation moves,
+// so a wait costs what completed, not what is pending.
 type Waiter struct {
 	Table  *TokenTable
 	Runner Runner
@@ -39,26 +41,25 @@ func (w *Waiter) Wait(qt QToken) (QEvent, error) {
 // A negative timeout waits forever. Unlike epoll, exactly one completion is
 // consumed per call, so each worker waiting on its own tokens wakes alone
 // (no thundering herd; paper §3.3).
+//
+// The set is rescanned only when the table's generation has moved since
+// the last empty scan: a runner quantum that completed nothing costs one
+// compare, not a probe per token. Until the generation moves, a rescan
+// would find what the last one did: nothing completed, and no error.
 func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
 	deadline := sim.Infinity
 	if timeout >= 0 {
 		deadline = w.Runner.Now().Add(timeout)
 	}
+	t := w.Table
+	scanned, seen := false, uint64(0)
 	for {
-		for k := range qts {
-			i := (w.rr + k) % len(qts)
-			ev, done, err := w.Table.TryTakeAs(qts[i], w.Tenant)
-			if err != nil {
-				return -1, QEvent{}, err
+		if !scanned || t.gen != seen {
+			i, ev, err := w.scan(qts)
+			if err != nil || i >= 0 {
+				return i, ev, err
 			}
-			if done {
-				if len(qts) > 1 {
-					// Single-token Waits (e.g. a nested wait on a
-					// reply push) must not perturb the rotation.
-					w.rr = i + 1 // next scan starts past this token
-				}
-				return i, ev, nil
-			}
+			scanned, seen = true, t.gen
 		}
 		if w.Runner.Step() {
 			continue
@@ -72,9 +73,37 @@ func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, erro
 	}
 }
 
+// scan probes qts once in rotation order, starting at rr, and redeems the
+// first completed token. It returns index -1 when none has completed.
+func (w *Waiter) scan(qts []QToken) (int, QEvent, error) {
+	n := len(qts)
+	if n == 0 {
+		return -1, QEvent{}, nil
+	}
+	i := w.rr % n
+	for k := 0; k < n; k++ {
+		op, err := w.Table.probe(qts[i], w.Tenant)
+		if err != nil {
+			return -1, QEvent{}, err
+		}
+		if op.done {
+			if n > 1 {
+				// Single-token Waits (e.g. a nested wait on a
+				// reply push) must not perturb the rotation.
+				w.rr = i + 1 // next scan starts past this token
+			}
+			return i, w.Table.take(op), nil
+		}
+		if i++; i == n {
+			i = 0
+		}
+	}
+	return -1, QEvent{}, nil
+}
+
 // WaitAll blocks until every token completes, returning events in token
 // order. On timeout, completed events consumed so far are returned with
-// ErrTimeout.
+// ErrTimeout. Like WaitAny, it rescans only after the generation moves.
 func (w *Waiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) {
 	deadline := sim.Infinity
 	if timeout >= 0 {
@@ -83,27 +112,30 @@ func (w *Waiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) 
 	events := make([]QEvent, len(qts))
 	got := make([]bool, len(qts))
 	remaining := len(qts)
+	t := w.Table
+	scanned, seen := false, uint64(0)
 	for remaining > 0 {
-		progress := false
-		for i, qt := range qts {
-			if got[i] {
-				continue
+		if !scanned || t.gen != seen {
+			for i, qt := range qts {
+				if got[i] {
+					continue
+				}
+				op, err := t.probe(qt, w.Tenant)
+				if err != nil {
+					return events, err
+				}
+				if op.done {
+					events[i] = t.take(op)
+					got[i] = true
+					remaining--
+				}
 			}
-			ev, done, err := w.Table.TryTakeAs(qt, w.Tenant)
-			if err != nil {
-				return events, err
+			if remaining == 0 {
+				break
 			}
-			if done {
-				events[i] = ev
-				got[i] = true
-				remaining--
-				progress = true
-			}
+			scanned, seen = true, t.gen
 		}
-		if remaining == 0 {
-			break
-		}
-		if progress || w.Runner.Step() {
+		if w.Runner.Step() {
 			continue
 		}
 		if w.Runner.Now() >= deadline {

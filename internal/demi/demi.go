@@ -264,25 +264,27 @@ func (c *Combined) Wait(qt core.QToken) (core.QEvent, error) {
 	return ev, err
 }
 
-// WaitAny blocks until one of qts completes.
+// generation sums both token tables' generations (core.TokenTable): it
+// moves whenever either side completes or redeems an operation.
+func (c *Combined) generation() uint64 {
+	return c.Net.Tokens().Generation() + c.Stor.Tokens().Generation()
+}
+
+// WaitAny blocks until one of qts completes. Like core.Waiter, it rescans
+// only after the generation moves past its last empty scan.
 func (c *Combined) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
 	deadline := sim.Infinity
 	if timeout >= 0 {
 		deadline = c.Net.Now().Add(timeout)
 	}
+	scanned, seen := false, uint64(0)
 	for {
-		for k := range qts {
-			i := (c.rr + k) % len(qts)
-			ev, done, err := c.TryTake(qts[i])
-			if err != nil {
-				return -1, core.QEvent{}, err
+		if !scanned || c.generation() != seen {
+			i, ev, err := c.scan(qts)
+			if err != nil || i >= 0 {
+				return i, ev, err
 			}
-			if done {
-				if len(qts) > 1 {
-					c.rr = i + 1
-				}
-				return i, ev, nil
-			}
+			scanned, seen = true, c.generation()
 		}
 		if c.Step() {
 			continue
@@ -296,7 +298,34 @@ func (c *Combined) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.
 	}
 }
 
-// WaitAll blocks until every token completes.
+// scan tries qts once in rotation order from rr and redeems the first
+// completed token, returning index -1 when none has completed.
+func (c *Combined) scan(qts []core.QToken) (int, core.QEvent, error) {
+	n := len(qts)
+	if n == 0 {
+		return -1, core.QEvent{}, nil
+	}
+	i := c.rr % n
+	for k := 0; k < n; k++ {
+		ev, done, err := c.TryTake(qts[i])
+		if err != nil {
+			return -1, core.QEvent{}, err
+		}
+		if done {
+			if n > 1 {
+				c.rr = i + 1
+			}
+			return i, ev, nil
+		}
+		if i++; i == n {
+			i = 0
+		}
+	}
+	return -1, core.QEvent{}, nil
+}
+
+// WaitAll blocks until every token completes, rescanning only after the
+// generation moves.
 func (c *Combined) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
 	events := make([]core.QEvent, len(qts))
 	got := make([]bool, len(qts))
@@ -305,27 +334,29 @@ func (c *Combined) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEv
 	if timeout >= 0 {
 		deadline = c.Net.Now().Add(timeout)
 	}
+	scanned, seen := false, uint64(0)
 	for remaining > 0 {
-		progress := false
-		for i, qt := range qts {
-			if got[i] {
-				continue
+		if !scanned || c.generation() != seen {
+			for i, qt := range qts {
+				if got[i] {
+					continue
+				}
+				ev, done, err := c.TryTake(qt)
+				if err != nil {
+					return events, err
+				}
+				if done {
+					events[i] = ev
+					got[i] = true
+					remaining--
+				}
 			}
-			ev, done, err := c.TryTake(qt)
-			if err != nil {
-				return events, err
+			if remaining == 0 {
+				break
 			}
-			if done {
-				events[i] = ev
-				got[i] = true
-				remaining--
-				progress = true
-			}
+			scanned, seen = true, c.generation()
 		}
-		if remaining == 0 {
-			break
-		}
-		if progress || c.Step() {
+		if c.Step() {
 			continue
 		}
 		if c.Net.Now() >= deadline {

@@ -1,6 +1,7 @@
 package demi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -264,5 +265,37 @@ func TestCombinedNetNewQDUntouched(t *testing.T) {
 	}
 	if ev.NewQD != 13 {
 		t.Fatalf("net NewQD = %d, want 13 untagged", ev.NewQD)
+	}
+}
+
+// TestCombinedWaitAnyRotatesAcrossSides checks the combined wait loop's
+// rotation over a set mixing both sides' tokens, and that an empty set
+// falls through to Block instead of dividing by its length.
+func TestCombinedWaitAnyRotatesAcrossSides(t *testing.T) {
+	c, _, _ := newFakes()
+	pop := func(qd core.QDesc) core.QToken {
+		qt, err := c.Pop(qd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qt
+	}
+	qds := []core.QDesc{1, 2 | storTag, 3}
+	qts := make([]core.QToken, len(qds))
+	for i, qd := range qds {
+		qts[i] = pop(qd)
+	}
+	for call, want := range []int{0, 1, 2, 0} {
+		i, ev, err := c.WaitAny(qts, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i != want || ev.QD != qds[want] {
+			t.Fatalf("call %d: index %d (QD %#x), want %d (QD %#x)", call, i, ev.QD, want, qds[want])
+		}
+		qts[i] = pop(qds[i])
+	}
+	if _, _, err := c.WaitAny(nil, -1); !errors.Is(err, core.ErrStopped) {
+		t.Errorf("empty set: err = %v, want ErrStopped", err)
 	}
 }
